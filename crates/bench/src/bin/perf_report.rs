@@ -7,7 +7,12 @@
 //!   hundreds of times per schedule, on synthetic graphs at the three
 //!   scale points `(|V|, P) ∈ {(100, 32), (500, 64), (1000, 128)}` and
 //!   writes the wall times to `BENCH_locbs.json` (first CLI argument
-//!   overrides the path). The schedule makespans are recorded alongside so
+//!   overrides the path), under a header naming the git revision
+//!   (`-dirty` when tracked files have uncommitted changes), the
+//!   processor count and the build profile they were measured with. A
+//!   hand-recorded `perfbench` block (the repository benchmark's
+//!   before/after numbers for the last kernel change) in an existing
+//!   report is carried over unchanged. The schedule makespans are recorded alongside so
 //!   a speed change that silently alters scheduling decisions is caught by
 //!   diffing the report.
 //! * **`locmps`** — times the full `LocMps::schedule` search at the same
@@ -105,11 +110,66 @@ fn time_case(n_tasks: usize, p: usize) -> Case {
     }
 }
 
+/// Where a measurement was taken: the git revision (`unknown` outside a
+/// checkout), the processors available and the build profile.
+struct Host {
+    rev: String,
+    nproc: usize,
+    profile: &'static str,
+}
+
+impl Host {
+    fn current() -> Self {
+        // Only inside a git checkout: git would otherwise search the
+        // parent directories for one. Uncommitted changes to tracked files
+        // mark the revision `-dirty`: the timings are not of that commit.
+        let rev = std::path::Path::new(".git")
+            .exists()
+            .then(|| {
+                std::process::Command::new("git")
+                    .args([
+                        "describe",
+                        "--always",
+                        "--dirty",
+                        "--abbrev=12",
+                        "--exclude=*",
+                    ])
+                    .output()
+                    .ok()
+                    .filter(|o| o.status.success())
+                    .and_then(|o| String::from_utf8(o.stdout).ok())
+            })
+            .flatten()
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".into());
+        Host {
+            rev,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+        }
+    }
+}
+
 // Hand-rolled JSON keeps the report layout stable and human-diffable;
 // every float goes through `serde_json::fmt_float_fixed`, which rejects
 // NaN/inf instead of printing an unparseable token.
-fn render_locbs_json(cases: &[Case]) -> Result<String, serde_json::NonFiniteFloat> {
-    let mut json = String::from("{\n  \"bench\": \"locbs_placement\",\n  \"cases\": [\n");
+fn render_locbs_json(
+    host: &Host,
+    cases: &[Case],
+    perfbench: Option<&serde::Value>,
+) -> Result<String, serde_json::NonFiniteFloat> {
+    let mut json = format!(
+        "{{\n  \"bench\": \"locbs_placement\",\n  \"rev\": {},\n  \"nproc\": {},\n  \
+         \"profile\": {},\n  \"cases\": [\n",
+        serde_json::to_string(&host.rev).unwrap_or_default(),
+        host.nproc,
+        serde_json::to_string(host.profile).unwrap_or_default(),
+    );
     for (i, c) in cases.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"n_tasks\": {}, \"p\": {}, \"runs\": {}, \"min_ms\": {}, \
@@ -123,8 +183,21 @@ fn render_locbs_json(cases: &[Case]) -> Result<String, serde_json::NonFiniteFloa
             if i + 1 < cases.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ]");
+    if let Some(block) = perfbench {
+        let pretty = serde_json::to_string_pretty(block).unwrap_or_default();
+        json.push_str(",\n  \"perfbench\": ");
+        json.push_str(&pretty.replace('\n', "\n  "));
+    }
+    json.push_str("\n}\n");
     Ok(json)
+}
+
+/// The `perfbench` block of the report already at `path`, if any.
+fn recorded_perfbench(path: &str) -> Option<serde::Value> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let report: serde::Value = serde_json::from_str(&text).ok()?;
+    serde::field(report.as_object()?, "perfbench").ok().cloned()
 }
 
 fn locbs_mode(out_path: &str) -> Result<(), String> {
@@ -141,7 +214,9 @@ fn locbs_mode(out_path: &str) -> Result<(), String> {
         })
         .collect();
 
-    let json = render_locbs_json(&cases).map_err(|e| format!("locbs report: {e}"))?;
+    let kept = recorded_perfbench(out_path);
+    let json = render_locbs_json(&Host::current(), &cases, kept.as_ref())
+        .map_err(|e| format!("locbs report: {e}"))?;
     std::fs::write(out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
     println!("wrote {out_path}");
     Ok(())
@@ -328,17 +403,51 @@ mod tests {
     /// used to be printed verbatim by `format!("{:.3}", ..)`, producing a
     /// report no JSON parser accepts. The guarded helper rejects the
     /// document instead.
+    fn host() -> Host {
+        Host {
+            rev: "0123456789ab".into(),
+            nproc: 2,
+            profile: "release",
+        }
+    }
+
     #[test]
     fn report_rejects_non_finite_measurements() {
-        assert!(render_locbs_json(&[case(f64::INFINITY)]).is_err());
-        assert!(render_locbs_json(&[case(f64::NAN)]).is_err());
+        assert!(render_locbs_json(&host(), &[case(f64::INFINITY)], None).is_err());
+        assert!(render_locbs_json(&host(), &[case(f64::NAN)], None).is_err());
     }
 
     #[test]
     fn report_output_is_valid_json() {
-        let json = render_locbs_json(&[case(0.75), case(2.25)]).unwrap();
+        let json = render_locbs_json(&host(), &[case(0.75), case(2.25)], None).unwrap();
         let v: Value = serde_json::from_str(&json).expect("report must parse");
-        let cases = serde::field(v.as_object().unwrap(), "cases").unwrap();
+        let obj = v.as_object().unwrap();
+        let cases = serde::field(obj, "cases").unwrap();
         assert_eq!(cases.as_array().unwrap().len(), 2);
+        assert_eq!(
+            serde::field(obj, "rev").unwrap().as_str(),
+            Some("0123456789ab")
+        );
+        assert_eq!(serde::field(obj, "nproc").unwrap(), &Value::UInt(2));
+        assert_eq!(
+            serde::field(obj, "profile").unwrap().as_str(),
+            Some("release")
+        );
+    }
+
+    #[test]
+    fn recorded_perfbench_block_is_carried_over() {
+        let block: Value = serde_json::from_str(
+            r#"{"before": {"sched_wall_s": 3.1}, "after": {"sched_wall_s": 2.0}}"#,
+        )
+        .unwrap();
+        let json = render_locbs_json(&host(), &[case(0.75)], Some(&block)).unwrap();
+        let path = std::env::temp_dir().join(format!("perf_report_{}.json", std::process::id()));
+        std::fs::write(&path, &json).unwrap();
+        let kept = recorded_perfbench(path.to_str().unwrap());
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(kept.as_ref(), Some(&block));
+        let again = render_locbs_json(&host(), &[case(0.75)], kept.as_ref()).unwrap();
+        assert_eq!(again, json, "a rewrite keeps the block byte for byte");
     }
 }

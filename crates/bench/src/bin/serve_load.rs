@@ -538,7 +538,10 @@ fn overload_experiment(quick: bool) -> OverloadStats {
     let on = overload_run(quick, true, 2);
     assert_eq!(off.server_errors, 0, "5xx with degradation off");
     assert_eq!(on.server_errors, 0, "5xx with degradation on");
-    assert!(on.degraded_jobs + (on.shed as u64) > 0, "degradation never engaged");
+    assert!(
+        on.degraded_jobs + (on.shed as u64) > 0,
+        "degradation never engaged"
+    );
     let p99_ratio = off.p99_ms / on.p99_ms.max(1e-9);
     assert!(
         p99_ratio >= 3.0,

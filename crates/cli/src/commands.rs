@@ -772,8 +772,14 @@ mod tests {
             seed: 1,
             ..Default::default()
         });
-        let path =
-            std::env::temp_dir().join(format!("locmps_cli_test_{}.json", std::process::id()));
+        // One file per call: tests run in parallel and each removes its
+        // file when done.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "locmps_cli_test_{}_{call}.json",
+            std::process::id()
+        ));
         std::fs::write(&path, g.to_json()).unwrap();
         path
     }

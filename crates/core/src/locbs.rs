@@ -539,13 +539,13 @@ impl<'a> Locbs<'a> {
 
             // The window guess was [s, s+et); the real occupancy may have
             // shifted or grown — verify it on the actual interval.
-            let feasible = procs.iter().all(|p| {
-                if self.opts.backfill {
-                    timeline.is_free(p, start, finish)
-                } else {
-                    timeline.last_free_time(p) <= start + time_eps(start)
-                }
-            });
+            let feasible = if self.opts.backfill {
+                timeline.all_free(procs, start, finish)
+            } else {
+                procs
+                    .iter()
+                    .all(|p| timeline.last_free_time(p) <= start + time_eps(start))
+            };
             if !feasible {
                 continue;
             }

@@ -260,6 +260,17 @@ struct SearchCtx<'a> {
     counters: &'a AtomicCounters,
 }
 
+/// A refinement step's critical path: see [`LocMps::step_critical_path`].
+struct StepCp {
+    cp: CriticalPath,
+    /// Sum of node weights along the path (`Tcomp`).
+    tcomp: f64,
+    /// Sum of edge weights along the path (`Tcomm`).
+    tcomm: f64,
+    /// Every schedule-DAG edge's weight, indexed by `EdgeId::index`.
+    edge_w: Vec<f64>,
+}
+
 thread_local! {
     /// Per-worker look-ahead working set: one schedule-DAG buffer and one
     /// LoCBS scratch, reused by every branch a pool worker (or the caller
@@ -334,13 +345,13 @@ impl LocMps {
     }
 
     /// Heaviest widenable data edge on the critical path (§III.D), weighed
-    /// by the caller's edge-cost function.
+    /// by `edge_w` (indexed by `EdgeId::index`).
     fn best_candidate_edge(
         &self,
         dag: &TaskGraph,
         cp: &CriticalPath,
         alloc: &Allocation,
-        edge_w: impl Fn(EdgeId) -> f64,
+        edge_w: &[f64],
         p_total: usize,
         marked: Option<&HashSet<Entry>>,
     ) -> Option<EdgeId> {
@@ -355,7 +366,9 @@ impl LocMps {
             })
             .filter(|&e| marked.is_none_or(|m| !m.contains(&Entry::Edge(e))))
             .max_by(|&a, &b| {
-                edge_w(a).total_cmp(&edge_w(b)).then(b.cmp(&a)) // lower id wins ties
+                edge_w[a.index()]
+                    .total_cmp(&edge_w[b.index()])
+                    .then(b.cmp(&a)) // lower id wins ties
             })
     }
 
@@ -374,18 +387,57 @@ impl LocMps {
         }
     }
 
-    /// One refinement step on `alloc` guided by the CP of `dag`. Returns
-    /// the entry describing what was widened, or `None` when nothing on the
-    /// critical path can be refined.
+    /// The critical path of the schedule-DAG `dag` for one refinement
+    /// step, with its `Tcomp`/`Tcomm` split and the edge weights it was
+    /// found under.
     ///
-    /// Edge weights are "the communication cost to redistribute data
-    /// between the processor groups associated with each task/endpoint"
-    /// (§III.B): the previous LoCBS pass decided those groups, so the cost
-    /// is the exact single-port block-cyclic transfer time between them —
-    /// an edge whose endpoints share a layout weighs nothing, exactly as
-    /// it executes. (The paper's `d/(min(np)·bw)` closed form is the
-    /// group-agnostic stand-in; it remains the planning estimate inside
-    /// LoCBS's priorities where groups are not yet placed.)
+    /// Node weights are `et(t, np(t))`. Edge weights are "the
+    /// communication cost to redistribute data between the processor
+    /// groups associated with each task/endpoint" (§III.B): the previous
+    /// LoCBS pass decided those groups, so the cost is the exact
+    /// single-port block-cyclic transfer time between them — an edge whose
+    /// endpoints share a layout weighs nothing, exactly as it executes.
+    /// (The paper's `d/(min(np)·bw)` closed form is the group-agnostic
+    /// stand-in; it remains the planning estimate inside LoCBS's
+    /// priorities where groups are not yet placed.)
+    ///
+    /// Both weightings are computed once, into dense vectors that the CP
+    /// walk, the cost sums and the candidate-edge ranking all read.
+    fn step_critical_path(
+        ctx: &SearchCtx<'_>,
+        dag: &TaskGraph,
+        schedule: &crate::schedule::Schedule,
+        alloc: &Allocation,
+    ) -> StepCp {
+        let model = ctx.model;
+        let node_w: Vec<f64> = ctx
+            .g
+            .task_ids()
+            .map(|t| Self::node_weight(ctx.g, alloc, t))
+            .collect();
+        let edge_w: Vec<f64> = dag
+            .edge_ids()
+            .map(|e| {
+                let edge = dag.edge(e);
+                match (schedule.get(edge.src), schedule.get(edge.dst)) {
+                    (Some(s), Some(d)) => model.transfer_time(&s.procs, &d.procs, edge.volume),
+                    _ => model.edge_estimate(dag, alloc, e),
+                }
+            })
+            .collect();
+        let cp = dag.critical_path(|t| node_w[t.index()], |e| edge_w[e.index()]);
+        StepCp {
+            tcomp: cp.computation_cost(|t| node_w[t.index()]),
+            tcomm: cp.communication_cost(|e| edge_w[e.index()]),
+            cp,
+            edge_w,
+        }
+    }
+
+    /// One refinement step on `alloc` guided by the CP of `dag` (see
+    /// [`LocMps::step_critical_path`] for the weights). Returns the entry
+    /// describing what was widened, or `None` when nothing on the critical
+    /// path can be refined.
     fn refine(
         &self,
         ctx: &SearchCtx<'_>,
@@ -394,18 +446,13 @@ impl LocMps {
         alloc: &mut Allocation,
         marked: Option<&HashSet<Entry>>,
     ) -> Option<Entry> {
-        let (g, conc, pbest) = (ctx.g, ctx.conc, ctx.pbest);
-        let (model, p_total) = (ctx.model, ctx.p_total);
-        let edge_w = |e: EdgeId| {
-            let edge = dag.edge(e);
-            match (schedule.get(edge.src), schedule.get(edge.dst)) {
-                (Some(s), Some(d)) => model.transfer_time(&s.procs, &d.procs, edge.volume),
-                _ => model.edge_estimate(dag, alloc, e),
-            }
-        };
-        let cp = dag.critical_path(|t| Self::node_weight(g, alloc, t), edge_w);
-        let tcomp = cp.computation_cost(|t| Self::node_weight(g, alloc, t));
-        let tcomm = cp.communication_cost(edge_w);
+        let (g, conc, pbest, p_total) = (ctx.g, ctx.conc, ctx.pbest, ctx.p_total);
+        let StepCp {
+            cp,
+            tcomp,
+            tcomm,
+            edge_w,
+        } = Self::step_critical_path(ctx, dag, schedule, alloc);
 
         if tcomp > tcomm {
             if let Some(t) = self.best_candidate_task(g, &cp, alloc, conc, pbest, p_total, marked) {
@@ -413,7 +460,7 @@ impl LocMps {
                 return Some(Entry::Task(t));
             }
         }
-        if let Some(e) = self.best_candidate_edge(dag, &cp, alloc, edge_w, p_total, marked) {
+        if let Some(e) = self.best_candidate_edge(dag, &cp, alloc, &edge_w, p_total, marked) {
             Self::widen_edge(dag, alloc, e, p_total);
             return Some(Entry::Edge(e));
         }
@@ -618,18 +665,13 @@ impl LocMps {
         marked: &HashSet<Entry>,
         k: usize,
     ) -> Vec<Entry> {
-        let (g, conc, pbest) = (ctx.g, ctx.conc, ctx.pbest);
-        let (model, p_total) = (ctx.model, ctx.p_total);
-        let edge_w = |e: EdgeId| {
-            let edge = dag.edge(e);
-            match (schedule.get(edge.src), schedule.get(edge.dst)) {
-                (Some(s), Some(d)) => model.transfer_time(&s.procs, &d.procs, edge.volume),
-                _ => model.edge_estimate(dag, alloc, e),
-            }
-        };
-        let cp = dag.critical_path(|t| Self::node_weight(g, alloc, t), edge_w);
-        let tcomp = cp.computation_cost(|t| Self::node_weight(g, alloc, t));
-        let tcomm = cp.communication_cost(edge_w);
+        let (g, conc, pbest, p_total) = (ctx.g, ctx.conc, ctx.pbest, ctx.p_total);
+        let StepCp {
+            cp,
+            tcomp,
+            tcomm,
+            edge_w,
+        } = Self::step_critical_path(ctx, dag, schedule, alloc);
 
         // Task entries: gain order with the paper's min-concurrency-ratio
         // pick promoted to the front.
@@ -663,7 +705,7 @@ impl LocMps {
                     && (alloc.np(edge.src) < p_total || alloc.np(edge.dst) < p_total)
             })
             .filter(|&e| !marked.contains(&Entry::Edge(e)))
-            .map(|e| (e, edge_w(e)))
+            .map(|e| (e, edge_w[e.index()]))
             .collect();
         edges.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let edge_entries: Vec<Entry> = edges.into_iter().map(|(e, _)| Entry::Edge(e)).collect();

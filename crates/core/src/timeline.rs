@@ -3,21 +3,37 @@
 //!
 //! Parallel job scheduling "can be viewed as a 2D chart with time along one
 //! axis and the processors along the other"; backfilling finds *holes* in
-//! that chart. [`Timeline`] tracks the busy intervals of every processor and
-//! enumerates the candidate start times at which the set of free processors
-//! changes — every minimal-finish-time placement starts either at the task's
-//! ready time or at some interval end, so scanning those candidates finds
-//! the optimal hole.
+//! that chart. [`Timeline`] records every booking and enumerates the
+//! candidate start times at which the set of free processors changes —
+//! every minimal-finish-time placement starts either at the task's ready
+//! time or at some booking end, so scanning those candidates finds the
+//! optimal hole.
 //!
-//! # Incremental event list
+//! # One booking list
 //!
-//! Candidate starts are booking *ends*. Instead of re-gathering and sorting
-//! every processor's interval ends per query (`O(B log B)` per task, `B` =
-//! total bookings), [`Timeline::occupy`] maintains one globally sorted end
-//! list — a single ordered insert per booking — and queries walk a slice of
-//! it: [`Timeline::candidate_times`] is an `O(log B + k)` scan, and the
-//! streaming [`CandidateTimes`] cursor lets the placement loop stop at its
-//! current best finish time without materializing anything.
+//! The chart is a single list of bookings `(finish, start, mask)` sorted by
+//! finish time — the availability profile of classic backfilling. A
+//! booking's processor mask is a bitmap of `⌈P/64⌉` words stored in one
+//! flat arena with that stride, so booking costs no allocation of its own.
+//! The same list serves every query:
+//!
+//! * **free set** ([`Timeline::free_set_into`]): the bookings that can
+//!   overlap `[s, f)` are a suffix of the list (those finishing after `s`);
+//!   OR-ing the masks of the ones that also start before `f` gives the busy
+//!   processors a word at a time, and the complement within `P` is the free
+//!   set. [`Timeline::all_free`] asks the same question for one mask.
+//! * **candidate starts** ([`Timeline::candidates_after`]): booking ends
+//!   in ascending order are just the list's finish times, so the streaming
+//!   [`CandidateTimes`] cursor walks a slice of it from a binary-searched
+//!   position and stops at the caller's best finish time.
+//! * **no-backfill availability** ([`Timeline::last_free_time`]): a
+//!   `P`-length array of each processor's latest booking end.
+//!
+//! On one processor the bookings are disjoint up to the tolerance below,
+//! which is at most half of either interval, so ordered by start they are
+//! also ordered by end. A processor is therefore free on `[s, f)` exactly
+//! when no booking of it both ends after `s` and starts before `f` — the
+//! per-processor binary-search test, asked of all processors at once.
 //!
 //! # Tolerance
 //!
@@ -34,6 +50,11 @@ use locmps_platform::{ProcId, ProcSet};
 
 use crate::schedule::time_eps;
 
+const WORD: usize = 64;
+
+/// Index marking "no booking" in [`Timeline::occupy`]'s neighbour search.
+const NONE: usize = usize::MAX;
+
 /// The comparison slack for intervals `a` and `b` meeting near time
 /// `scale`: relative to the time scale but never more than half the
 /// shorter interval.
@@ -42,75 +63,143 @@ fn bounded_eps(scale: f64, a_len: f64, b_len: f64) -> f64 {
     time_eps(scale).min(0.5 * a_len.min(b_len))
 }
 
-/// Per-processor busy intervals with hole queries.
+/// One booked interval; its processors are the matching mask in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Booking {
+    finish: f64,
+    start: f64,
+}
+
+/// The processors × time chart: bookings sorted by finish, with hole
+/// queries.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    busy: Vec<Vec<(f64, f64)>>,
-    /// Every booking's end time, kept sorted across all processors — the
-    /// shared candidate-start event list.
-    ends: Vec<f64>,
+    n_procs: usize,
+    /// Words per processor mask: `⌈P/64⌉` (at least 1).
+    stride: usize,
+    /// Every booking, sorted by finish time.
+    bookings: Vec<Booking>,
+    /// Booking `k`'s processors: `masks[k * stride..(k + 1) * stride]`.
+    masks: Vec<u64>,
+    /// Per processor, its latest booking end (`None` when never booked).
+    last_free: Vec<Option<f64>>,
+    /// [`Timeline::occupy`]'s scratch: per processor, the index of its
+    /// nearest booking starting before the new one and at or after it.
+    near: Vec<(usize, usize)>,
 }
 
 impl Timeline {
     /// An all-idle chart for `n_procs` processors.
     pub fn new(n_procs: usize) -> Self {
         Self {
-            busy: vec![Vec::new(); n_procs],
-            ends: Vec::new(),
+            n_procs,
+            stride: n_procs.div_ceil(WORD).max(1),
+            bookings: Vec::new(),
+            masks: Vec::new(),
+            last_free: vec![None; n_procs],
+            near: vec![(NONE, NONE); n_procs],
         }
     }
 
     /// Number of processors tracked.
     pub fn n_procs(&self) -> usize {
-        self.busy.len()
+        self.n_procs
     }
 
     /// Marks `[start, finish)` busy on every processor in `procs`.
     ///
     /// # Panics
-    /// Panics if the interval is inverted or overlaps an existing booking
-    /// (double-booking is a scheduler bug and must never be silent).
+    /// Panics if the interval is inverted, names a processor outside the
+    /// chart, or overlaps an existing booking (double-booking is a
+    /// scheduler bug and must never be silent).
     pub fn occupy(&mut self, procs: &ProcSet, start: f64, finish: f64) {
         assert!(finish >= start, "inverted interval");
         if finish <= start {
             return; // zero-length bookings occupy nothing
         }
         let len = finish - start;
+        let words = procs.words();
         for p in procs.iter() {
-            let intervals = &mut self.busy[p as usize];
-            let idx = intervals.partition_point(|iv| iv.0 < start);
-            if idx > 0 {
-                let (ps, pf) = intervals[idx - 1];
-                let eps = bounded_eps(finish, len, pf - ps);
-                assert!(pf <= start + eps, "double booking on p{p}");
-            }
-            if idx < intervals.len() {
-                let (ns, nf) = intervals[idx];
-                let eps = bounded_eps(finish, len, nf - ns);
-                assert!(ns + eps >= finish, "double booking on p{p}");
-            }
-            intervals.insert(idx, (start, finish));
+            assert!((p as usize) < self.n_procs, "processor p{p} out of range");
+            self.near[p as usize] = (NONE, NONE);
         }
-        let at = self.ends.partition_point(|&e| e < finish);
-        self.ends.insert(at, finish);
+        // Each processor's bookings, in start order (equal starts: earlier
+        // end first), form a chain; the new interval must fit between its
+        // chain neighbours: the last booking starting before it and the
+        // first starting at or after it.
+        let key = |b: &Booking| (b.start, b.finish);
+        let chunks = self.masks.chunks_exact(self.stride);
+        for (k, (b, mask)) in self.bookings.iter().zip(chunks).enumerate() {
+            for (w, (&m, &own)) in mask.iter().zip(words).enumerate() {
+                let mut hit = m & own;
+                while hit != 0 {
+                    let p = w * WORD + hit.trailing_zeros() as usize;
+                    hit &= hit - 1;
+                    let (prev, next) = &mut self.near[p];
+                    let slot = if b.start < start { prev } else { next };
+                    let closer = match self.bookings.get(*slot) {
+                        None => true,
+                        Some(o) if b.start < start => key(b) > key(o),
+                        Some(o) => key(b) < key(o),
+                    };
+                    if closer {
+                        *slot = k;
+                    }
+                }
+            }
+        }
+        for p in procs.iter() {
+            let (prev, next) = self.near[p as usize];
+            if let Some(b) = self.bookings.get(prev) {
+                let eps = bounded_eps(finish, len, b.finish - b.start);
+                assert!(b.finish <= start + eps, "double booking on p{p}");
+            }
+            if let Some(b) = self.bookings.get(next) {
+                let eps = bounded_eps(finish, len, b.finish - b.start);
+                assert!(b.start + eps >= finish, "double booking on p{p}");
+            }
+            let last = &mut self.last_free[p as usize];
+            *last = Some(last.map_or(finish, |t| t.max(finish)));
+        }
+
+        let at = self.bookings.partition_point(|b| b.finish <= finish);
+        self.bookings.insert(at, Booking { finish, start });
+        let stride = self.stride;
+        let mask = (0..stride).map(|w| words.get(w).copied().unwrap_or(0));
+        self.masks.splice(at * stride..at * stride, mask);
         crate::invariant!(
-            self.ends.windows(2).all(|w| w[0] <= w[1]),
-            "candidate-end event list must stay sorted after every insert"
+            self.bookings.windows(2).all(|w| w[0].finish <= w[1].finish),
+            "the booking list must stay sorted by finish after every insert"
         );
+    }
+
+    /// The masks of the bookings that overlap `[start, finish)` by more
+    /// than the tolerance: those ending after `start + eps` (a suffix of
+    /// the list) that also start before `finish - eps`.
+    fn overlapping(&self, start: f64, finish: f64) -> impl Iterator<Item = &[u64]> {
+        let eps = time_eps(finish).min(0.5 * (finish - start));
+        let from = self.bookings.partition_point(|b| b.finish <= start + eps);
+        self.bookings[from..]
+            .iter()
+            .zip(self.masks[from * self.stride..].chunks_exact(self.stride))
+            .filter(move |(b, _)| b.start + eps < finish)
+            .map(|(_, mask)| mask)
     }
 
     /// Whether processor `p` is idle throughout `[start, finish)`.
     /// Touching interval endpoints do not conflict.
     pub fn is_free(&self, p: ProcId, start: f64, finish: f64) -> bool {
-        let eps = time_eps(finish).min(0.5 * (finish - start));
-        let intervals = &self.busy[p as usize];
-        // First interval that could intersect: the one before the partition
-        // point and the one at it.
-        let idx = intervals.partition_point(|iv| iv.1 <= start + eps);
-        match intervals.get(idx) {
-            Some(&(s, _)) => s + eps >= finish,
-            None => true,
-        }
+        let (w, bit) = (p as usize / WORD, p as usize % WORD);
+        self.overlapping(start, finish)
+            .all(|mask| mask[w] & (1 << bit) == 0)
+    }
+
+    /// Whether every processor in `procs` is idle throughout
+    /// `[start, finish)`.
+    pub fn all_free(&self, procs: &ProcSet, start: f64, finish: f64) -> bool {
+        let words = procs.words();
+        self.overlapping(start, finish)
+            .all(|mask| mask.iter().zip(words).all(|(m, w)| m & w == 0))
     }
 
     /// The set of processors idle throughout `[start, finish)`.
@@ -123,11 +212,20 @@ impl Timeline {
     /// Fills `out` with the processors idle throughout `[start, finish)`,
     /// reusing its allocation.
     pub fn free_set_into(&self, start: f64, finish: f64, out: &mut ProcSet) {
-        out.clear();
-        for p in 0..self.busy.len() as ProcId {
-            if self.is_free(p, start, finish) {
-                out.insert(p);
+        let busy = out.reset_words(self.stride);
+        for mask in self.overlapping(start, finish) {
+            for (b, m) in busy.iter_mut().zip(mask) {
+                *b |= m;
             }
+        }
+        for (w, b) in busy.iter_mut().enumerate() {
+            let in_range = self.n_procs.saturating_sub(w * WORD);
+            let valid = if in_range >= WORD {
+                u64::MAX
+            } else {
+                (1u64 << in_range) - 1
+            };
+            *b = !*b & valid;
         }
     }
 
@@ -135,7 +233,7 @@ impl Timeline {
     /// booking's end; 0 when never booked). This is the only availability
     /// information the *no-backfill* scheduler variant keeps (Fig. 6).
     pub fn last_free_time(&self, p: ProcId) -> f64 {
-        self.busy[p as usize].last().map_or(0.0, |iv| iv.1)
+        self.last_free[p as usize].unwrap_or(0.0)
     }
 
     /// Candidate start times for a placement not before `after`: `after`
@@ -162,18 +260,26 @@ impl Timeline {
     /// `after` — the zero-allocation form of
     /// [`Timeline::candidate_times_below`] used by the placement loop.
     pub fn candidates_after(&self, after: f64) -> CandidateTimes<'_> {
-        let from = self.ends.partition_point(|&e| e <= after);
+        let from = self.bookings.partition_point(|b| b.finish <= after);
         CandidateTimes {
-            ends: &self.ends,
-            i: from,
+            bookings: &self.bookings[from..],
             after,
             last: None,
         }
     }
 
     /// All bookings on processor `p`, in time order (test/debug aid).
-    pub fn bookings(&self, p: ProcId) -> &[(f64, f64)] {
-        &self.busy[p as usize]
+    pub fn bookings(&self, p: ProcId) -> Vec<(f64, f64)> {
+        let (w, bit) = (p as usize / WORD, p as usize % WORD);
+        let mut out: Vec<(f64, f64)> = self
+            .bookings
+            .iter()
+            .zip(self.masks.chunks_exact(self.stride))
+            .filter(|(_, mask)| mask[w] & (1 << bit) != 0)
+            .map(|(b, _)| (b.start, b.finish))
+            .collect();
+        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        out
     }
 }
 
@@ -182,8 +288,8 @@ impl Timeline {
 /// candidate. Created by [`Timeline::candidates_after`].
 #[derive(Debug)]
 pub struct CandidateTimes<'a> {
-    ends: &'a [f64],
-    i: usize,
+    /// The bookings ending after `after`, not yet passed.
+    bookings: &'a [Booking],
     after: f64,
     last: Option<f64>,
 }
@@ -202,15 +308,16 @@ impl CandidateTimes<'_> {
             self.last = Some(self.after);
             return Some(self.after);
         };
-        while let Some(&e) = self.ends.get(self.i) {
+        while let Some((b, rest)) = self.bookings.split_first() {
+            let e = b.finish;
             if (e - last).abs() <= time_eps(e) {
-                self.i += 1; // within tolerance of the previous candidate
+                self.bookings = rest; // within tolerance of the previous candidate
                 continue;
             }
             if e >= horizon {
                 return None;
             }
-            self.i += 1;
+            self.bookings = rest;
             self.last = Some(e);
             return Some(e);
         }

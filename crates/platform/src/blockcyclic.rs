@@ -223,40 +223,32 @@ pub fn redistribution_time(src: &ProcSet, dst: &ProcSet, volume: f64, bandwidth:
     let per_pair = volume / period as f64;
 
     // Busy time per physical node: sent + received, minus local pairs.
-    // Sets are sorted and duplicate-free, so each physical node occupies at
-    // most one slot per side; walk both in lockstep (no materialized id
-    // vectors — this sits on LoCBS's per-candidate loop) to find shared
-    // nodes, tracking each side's slot index.
+    // Only nodes in both groups can beat the send-only/receive-only busy
+    // times below, so walk just the shared bits `src & dst`, a word at a
+    // time (this sits on LoCBS's per-candidate loop). Sets are sorted and
+    // duplicate-free, so a node's slot index on each side is the number
+    // of that side's members below it: a popcount rank.
     let mut max_busy = 0.0f64;
     let mut shared = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut si = src.iter().peekable();
-    let mut di = dst.iter().peekable();
-    while let (Some(&a), Some(&b)) = (si.peek(), di.peek()) {
-        match a.cmp(&b) {
-            std::cmp::Ordering::Less => {
-                si.next();
-                i += 1;
+    let (mut src_below, mut dst_below) = (0usize, 0usize);
+    for (&s, &d) in src.words().iter().zip(dst.words()) {
+        let mut both = s & d;
+        shared += both.count_ones() as usize;
+        while both != 0 {
+            let lower = (1u64 << both.trailing_zeros()) - 1;
+            both &= both - 1;
+            let i = src_below + (s & lower).count_ones() as usize;
+            let j = dst_below + (d & lower).count_ones() as usize;
+            let mut busy = volume / p as f64 + volume / q as f64;
+            if i % g == j % g {
+                // The node's send and receive slots talk to each other:
+                // that volume never touches the network, on either side.
+                busy -= 2.0 * per_pair;
             }
-            std::cmp::Ordering::Greater => {
-                di.next();
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let mut busy = volume / p as f64 + volume / q as f64;
-                if i % g == j % g {
-                    // The node's send and receive slots talk to each other:
-                    // that volume never touches the network, on either side.
-                    busy -= 2.0 * per_pair;
-                }
-                max_busy = max_busy.max(busy);
-                shared += 1;
-                si.next();
-                di.next();
-                i += 1;
-                j += 1;
-            }
+            max_busy = max_busy.max(busy);
         }
+        src_below += s.count_ones() as usize;
+        dst_below += d.count_ones() as usize;
     }
     // A send-only node is busy exactly `volume/p`, a receive-only node
     // `volume/q`; `max` is order-independent, so one comparison per side

@@ -4,7 +4,7 @@
 //! processor ids (machine sizes in the paper top out at 128). A `Vec<u64>`
 //! bitset keeps those operations branch-free and allocation-light.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A processor id: dense indices `0..P`.
 pub type ProcId = u32;
@@ -27,7 +27,7 @@ const BITS: usize = 64;
 /// assert_eq!(a.union(&b).len(), 5);
 /// assert_eq!(a.to_vec(), vec![0, 1, 2, 3]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct ProcSet {
     words: Vec<u64>,
 }
@@ -184,6 +184,31 @@ impl ProcSet {
         self.iter().next()
     }
 
+    /// The bitmap words: bit `p % 64` of word `p / 64` is processor `p`.
+    /// May end in zero words, which carry no members.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Empties the set and hands out its first `n` bitmap words, zeroed,
+    /// for a word-parallel producer to fill; the allocation is reused.
+    pub fn reset_words(&mut self, n: usize) -> &mut [u64] {
+        self.words.clear();
+        self.words.resize(n, 0);
+        &mut self.words
+    }
+
+    /// The bitmap words without trailing zero words: the canonical form
+    /// that equality, hashing and serialization all see.
+    fn trimmed_words(&self) -> &[u64] {
+        let end = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        &self.words[..end]
+    }
+
     /// Keeps only the `k` lowest-id members (no-op if `len() <= k`).
     pub fn truncate(&mut self, k: usize) {
         if self.len() <= k {
@@ -199,10 +224,7 @@ impl ProcSet {
 
 impl PartialEq for ProcSet {
     fn eq(&self, other: &Self) -> bool {
-        let n = self.words.len().max(other.words.len());
-        (0..n).all(|i| {
-            self.words.get(i).copied().unwrap_or(0) == other.words.get(i).copied().unwrap_or(0)
-        })
+        self.trimmed_words() == other.trimmed_words()
     }
 }
 
@@ -210,12 +232,16 @@ impl Eq for ProcSet {}
 
 impl std::hash::Hash for ProcSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Skip trailing zero words so equal sets hash equally.
-        let mut end = self.words.len();
-        while end > 0 && self.words[end - 1] == 0 {
-            end -= 1;
-        }
-        self.words[..end].hash(state);
+        self.trimmed_words().hash(state);
+    }
+}
+
+/// Writes the trimmed words, so equal sets serialize to the same bytes
+/// however they were built (schedule JSON, fingerprints and served
+/// responses all go through this).
+impl Serialize for ProcSet {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("words".to_string(), self.trimmed_words().to_value())])
     }
 }
 
@@ -291,6 +317,34 @@ mod tests {
         assert_eq!(a, b);
         a.insert(2);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn serialization_ignores_trailing_zero_words() {
+        let plain = ProcSet::single(0);
+        let mut grown: ProcSet = [0u32, 64].into_iter().collect();
+        grown.remove(64);
+        assert_eq!(plain, grown);
+        assert_eq!(plain.to_value(), grown.to_value());
+        assert_eq!(
+            serde_json::to_string(&plain).unwrap(),
+            serde_json::to_string(&grown).unwrap()
+        );
+        assert_eq!(
+            ProcSet::new().to_value(),
+            ProcSet::all(70).difference(&ProcSet::all(70)).to_value()
+        );
+    }
+
+    #[test]
+    fn reset_words_fills_word_parallel() {
+        let mut s: ProcSet = [3u32, 200].into_iter().collect();
+        let words = s.reset_words(2);
+        assert_eq!(words, &[0, 0]);
+        words[0] = 0b101;
+        words[1] = 1;
+        assert_eq!(s.to_vec(), vec![0, 2, 64]);
+        assert_eq!(s.words(), &[0b101, 1]);
     }
 
     #[test]

@@ -11,6 +11,82 @@ fn arb_procset() -> impl Strategy<Value = ProcSet> {
     proptest::collection::btree_set(0u32..96, 1..16).prop_map(|s| s.into_iter().collect())
 }
 
+/// Sets over ids `0..256` (up to four bitmap words); when `pad` is set,
+/// a member above every other one is inserted and removed again, leaving
+/// trailing zero words behind.
+fn arb_wide_procset() -> impl Strategy<Value = ProcSet> {
+    (
+        proptest::collection::btree_set(0u32..256, 1..40),
+        any::<bool>(),
+    )
+        .prop_map(|(ids, pad)| {
+            let mut s: ProcSet = ids.into_iter().collect();
+            if pad && !s.contains(255) {
+                s.insert(255);
+                s.remove(255);
+            }
+            s
+        })
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// The element-by-element form of [`redistribution_time`]: walks both
+/// sets' members in lockstep, tracking each side's slot index, to find
+/// the shared nodes. The word-parallel version must match it bit for bit.
+fn lockstep_redistribution_time(src: &ProcSet, dst: &ProcSet, volume: f64, bandwidth: f64) -> f64 {
+    if volume <= 0.0 || src.is_empty() || dst.is_empty() {
+        return 0.0;
+    }
+    let p = src.len();
+    let q = dst.len();
+    let g = gcd(p, q);
+    let period = p / g * q;
+    let per_pair = volume / period as f64;
+    let mut max_busy = 0.0f64;
+    let mut shared = 0usize;
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut si = src.iter().peekable();
+    let mut di = dst.iter().peekable();
+    while let (Some(&a), Some(&b)) = (si.peek(), di.peek()) {
+        match a.cmp(&b) {
+            std::cmp::Ordering::Less => {
+                si.next();
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                di.next();
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                let mut busy = volume / p as f64 + volume / q as f64;
+                if i % g == j % g {
+                    busy -= 2.0 * per_pair;
+                }
+                max_busy = max_busy.max(busy);
+                shared += 1;
+                si.next();
+                di.next();
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if shared < p {
+        max_busy = max_busy.max(volume / p as f64);
+    }
+    if shared < q {
+        max_busy = max_busy.max(volume / q as f64);
+    }
+    max_busy.max(0.0) / bandwidth
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -107,6 +183,24 @@ proptest! {
             (fast - exact).abs() <= 1e-9 * exact.max(1.0),
             "closed form {fast} != matrix {exact} for {a} -> {b}"
         );
+    }
+
+    #[test]
+    fn popcount_redistribution_time_matches_the_lockstep_walk(
+        a in arb_wide_procset(), b in arb_wide_procset(), vol in 0.0..1000.0f64,
+        bw in 0.5..200.0f64, overlap in 0usize..3,
+    ) {
+        // Overlapping pairs exercise the shared-node path the most.
+        let b = match overlap {
+            0 => b,
+            1 => a.union(&b),
+            _ => a.clone(),
+        };
+        let fast = redistribution_time(&a, &b, vol, bw);
+        let walk = lockstep_redistribution_time(&a, &b, vol, bw);
+        prop_assert_eq!(fast.to_bits(), walk.to_bits(), "{} -> {}: {} vs {}", a, b, fast, walk);
+        let back = redistribution_time(&b, &a, vol, bw);
+        prop_assert_eq!(back.to_bits(), lockstep_redistribution_time(&b, &a, vol, bw).to_bits());
     }
 
     #[test]

@@ -1295,8 +1295,10 @@ fn spec_from_record(rec: &SubmitRecord) -> Result<JobSpec, JournalError> {
 /// active` and `cache_hits + cache_misses = submitted` exact; only
 /// `schedules_computed` restarts at zero (it counts this process's work).
 fn replayed_state(replay: &Replay) -> Result<State, JournalError> {
-    let mut st = State::default();
-    st.journal_truncated = replay.truncated;
+    let mut st = State {
+        journal_truncated: replay.truncated,
+        ..State::default()
+    };
     for rec in &replay.records {
         match rec {
             Record::Cache(c) => {
@@ -1339,25 +1341,26 @@ fn replayed_state(replay: &Replay) -> Result<State, JournalError> {
                 // only through outside editing) is dropped, and an
                 // ok-terminal whose output did not survive leaves the job
                 // queued for recomputation.
-                let Some(job) = st.jobs.get(&t.id) else { continue };
+                let Some(job) = st.jobs.get(&t.id) else {
+                    continue;
+                };
                 if job.state.terminal() {
                     continue;
                 }
                 let (fp, tenant) = (job.fingerprint, job.tenant.clone());
                 if t.ok {
-                    let output = if let (Some(makespan), Some(result_json)) =
-                        (t.makespan, &t.result_json)
-                    {
-                        Some(Arc::new(JobOutput {
-                            makespan,
-                            result_json: Arc::new(result_json.clone()),
-                            trace_json: t.trace_json.clone().map(Arc::new),
-                        }))
-                    } else if let Some(CacheEntry::Done(out)) = st.cache.get(&fp) {
-                        Some(Arc::clone(out))
-                    } else {
-                        None
-                    };
+                    let output =
+                        if let (Some(makespan), Some(result_json)) = (t.makespan, &t.result_json) {
+                            Some(Arc::new(JobOutput {
+                                makespan,
+                                result_json: Arc::new(result_json.clone()),
+                                trace_json: t.trace_json.clone().map(Arc::new),
+                            }))
+                        } else if let Some(CacheEntry::Done(out)) = st.cache.get(&fp) {
+                            Some(Arc::clone(out))
+                        } else {
+                            None
+                        };
                     if let Some(out) = output {
                         let job = st.jobs.get_mut(&t.id).expect("job exists");
                         job.state = JobState::Done;
@@ -2042,7 +2045,9 @@ mod tests {
         assert_eq!(b.state, JobState::Failed);
         assert_eq!(b.error_kind, Some(JobErrorKind::RetriesExhausted));
         // New ids continue after the recovered ones.
-        let c = svc2.submit(&ServeConfig::default(), spec("bob", 30.0)).unwrap();
+        let c = svc2
+            .submit(&ServeConfig::default(), spec("bob", 30.0))
+            .unwrap();
         assert!(c.job_id > bad.job_id);
         svc2.shutdown();
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();

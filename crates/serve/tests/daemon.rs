@@ -458,7 +458,13 @@ fn crash_images_from_a_100_job_burst_recover_every_acked_job_exactly_once() {
         // original id and fingerprint, and reaches Done exactly once.
         for ack in &acks[..acked] {
             let st = svc.wait(ack.job_id).expect("acked job recovered");
-            assert_eq!(st.state, JobState::Done, "job {}: {:?}", ack.job_id, st.error);
+            assert_eq!(
+                st.state,
+                JobState::Done,
+                "job {}: {:?}",
+                ack.job_id,
+                st.error
+            );
             assert_eq!(st.fingerprint, ack.fingerprint);
             assert!(svc.result_json(ack.job_id).is_some());
         }
@@ -487,7 +493,10 @@ fn crash_images_from_a_100_job_burst_recover_every_acked_job_exactly_once() {
     let svc = Service::start_with_journal(ServeConfig::default(), &torn_path).expect("torn image");
     let report = svc.service_report();
     assert!(report.to_json().contains("LM341"), "{}", report.to_json());
-    assert!(!report.has_errors(), "truncation is a warning, not an error");
+    assert!(
+        !report.has_errors(),
+        "truncation is a warning, not an error"
+    );
     svc.shutdown();
 
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
@@ -548,7 +557,10 @@ fn an_expired_deadline_fails_typed_over_http() {
     assert_eq!(status, 200);
     handle.shutdown();
     // The typed kind round-trips through the wire name.
-    assert_eq!(JobErrorKind::from_wire("deadline"), Some(JobErrorKind::Deadline));
+    assert_eq!(
+        JobErrorKind::from_wire("deadline"),
+        Some(JobErrorKind::Deadline)
+    );
 }
 
 /// A client that connects and stalls gets a 408 once the read timeout

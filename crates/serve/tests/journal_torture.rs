@@ -106,7 +106,7 @@ proptest! {
         let (records, bytes) = journal_image();
         let cut = (frac * bytes.len() as f64) as usize;
         let replay = decode_records(&bytes[..cut]).expect("truncation is never Corrupt");
-        assert_prefix(&replay.records, &records);
+        assert_prefix(&replay.records, records);
         prop_assert!(replay.valid_len <= cut as u64);
         // Whatever survived is re-decodable from its own valid prefix.
         let again = decode_records(&bytes[..replay.valid_len as usize]).unwrap();
@@ -125,7 +125,7 @@ proptest! {
         mutated[pos] ^= 1 << bit;
         match decode_records(&mutated) {
             Ok(replay) => {
-                assert_prefix(&replay.records, &records);
+                assert_prefix(&replay.records, records);
                 prop_assert!(replay.valid_len <= mutated.len() as u64);
             }
             Err(e) => {
@@ -151,7 +151,7 @@ proptest! {
         let pos = ((flip_frac * mutated.len() as f64) as usize).min(mutated.len() - 1);
         mutated[pos] ^= 1 << bit;
         if let Ok(replay) = decode_records(&mutated) {
-            assert_prefix(&replay.records, &records);
+            assert_prefix(&replay.records, records);
         }
     }
 }
@@ -160,7 +160,7 @@ proptest! {
 #[test]
 fn the_pristine_image_replays_every_record() {
     let (records, bytes) = journal_image();
-    let replay = decode_records(&bytes).unwrap();
+    let replay = decode_records(bytes).unwrap();
     assert_eq!(&replay.records, records);
     assert!(!replay.truncated);
     assert_eq!(replay.valid_len, bytes.len() as u64);
